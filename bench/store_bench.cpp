@@ -15,9 +15,9 @@
 //
 //   2. Warm open. A warm sweep's first cache probe pays one full
 //      recovery scan (every frame re-CRC'd) and then serves every lookup
-//      from the snapshot index. Measured: recovery records/s through
-//      ResultCache (scan + parse + index prime) and warm lookups/s
-//      against the primed index.
+//      from the in-memory index. Measured: recovery records/s through
+//      ResultCache (scan + parse + index build) and warm lookups/s
+//      against the loaded index.
 //
 //   3. Compaction. A store whose keys were superseded (failure rows
 //      retried, points recomputed) carries dead records until compaction
@@ -41,7 +41,6 @@
 #include "support/durable/record.hpp"
 #include "support/durable/segment_store.hpp"
 #include "support/json.hpp"
-#include "support/snapcache.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -123,7 +122,7 @@ int main(int argc, char** argv) {
       "open/lookup throughput, compaction cost");
   args.flag_i64("records", 2000, "records per append run");
   args.flag_i64("value-bytes", 256, "approximate serialized value size");
-  args.flag_i64("lookups", 200000, "warm lookups against the primed index");
+  args.flag_i64("lookups", 200000, "warm lookups against the loaded index");
   args.flag_i64("reps", 3, "attempts per cell (best wall-clock kept)");
   args.flag_bool("quick", false, "CI smoke: tiny record/lookup counts");
   args.flag_str("scratch", "bench_store_scratch",
@@ -175,7 +174,7 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", append_table.to_string().c_str());
 
-  // 2. Warm open: recovery scan + index prime, then warm lookups, through
+  // 2. Warm open: recovery scan + index build, then warm lookups, through
   // the same ResultCache the sweep scheduler uses.
   double open_s = 1e30;
   double lookup_s = 1e30;
@@ -190,15 +189,13 @@ int main(int argc, char** argv) {
     {
       StoreOptions opts;
       opts.sync = SyncPolicy::None;
-      harness::ResultCache seed(cache_dir, "bench_store",
-                                support::snap::Mode::Serial, opts);
+      harness::ResultCache seed(cache_dir, "bench_store", opts);
       for (std::size_t i = 0; i < records; ++i) {
         seed.store_one(keys[i], make_result(i));
       }
     }
     for (int rep = 0; rep < reps; ++rep) {
-      harness::ResultCache cache(cache_dir, "bench_store",
-                                 support::snap::Mode::Serial);
+      harness::ResultCache cache(cache_dir, "bench_store");
       const auto t0 = std::chrono::steady_clock::now();
       QSM_REQUIRE(cache.loaded_entries() == records, "warm open lost records");
       open_s = std::min(open_s, seconds_since(t0));

@@ -38,16 +38,10 @@ SweepRunner::SweepRunner(RunnerOptions opts) : opts_(std::move(opts)) {
   stats_.jobs = jobs_;
   stats_.phase_workers_per_job = phase_workers_per_job_;
   if (opts_.cache) {
-    // Multi-job sweeps drain completions to the cache from pool threads;
-    // one-job sweeps run everything on this thread and get the zero-atomic
-    // serial index.
     support::durable::StoreOptions store_opts;
     store_opts.sync = opts_.cache_sync;
-    cache_ = std::make_unique<ResultCache>(
-        opts_.cache_dir, opts_.workload,
-        jobs_ > 1 ? support::snap::Mode::Concurrent
-                  : support::snap::Mode::Serial,
-        store_opts);
+    cache_ = std::make_unique<ResultCache>(opts_.cache_dir, opts_.workload,
+                                           store_opts);
   }
 }
 
@@ -108,6 +102,8 @@ std::vector<PointResult> SweepRunner::run_all() {
     // finishing point t appends every finished point up to the first
     // still-running one. File byte order is therefore the miss-list order
     // for any --jobs N, and a killed sweep keeps its finished prefix.
+    // drain_m is also the cache's single-actor guarantee: every store_one
+    // runs under it, and every lookup above finished before any compute.
     std::mutex drain_m;
     std::vector<char> drained_ready(misses.size(), 0);
     std::size_t drain_cursor = 0;

@@ -40,10 +40,8 @@ constexpr std::size_t kXferEntryWordCap = std::size_t{16} << 20;
 
 Comm::Comm(machine::MachineConfig cfg)
     : cfg_(std::move(cfg)),
-      plan_cache_(support::snap::Options{.max_entries = kPlanCacheCap}),
-      xfer_cache_(support::snap::Options{
-          .max_words = kXferCacheWordCap,
-          .max_entry_words = kXferEntryWordCap}) {
+      plan_cache_(kPlanCacheCap, /*max_words=*/0, /*max_entry_words=*/0),
+      xfer_cache_(/*max_entries=*/0, kXferCacheWordCap, kXferEntryWordCap) {
   cfg_.validate();
 }
 
@@ -70,8 +68,8 @@ net::ExchangeResult Comm::allgather(const std::vector<cycles_t>& start,
   key.control = control;
   key.fault_salt = fault_salt;
 
-  if (auto hit = plan_cache_.get(key)) {
-    return shift_result(std::move(*hit), base);
+  if (const auto* hit = plan_cache_.find(key)) {
+    return shift_result(*hit, base);
   }
 
   net::ExchangeResult canonical;
@@ -99,8 +97,7 @@ net::ExchangeResult Comm::allgather(const std::vector<cycles_t>& start,
     canonical = net::simulate_exchange(cfg_.net, cfg_.sw, spec);
   }
 
-  // First writer wins; the cache clears itself when the entry cap would be
-  // exceeded (the historical plan-memo policy, now declared in the ctor).
+  // The memo clears itself when the entry cap would be exceeded.
   plan_cache_.insert(std::move(key), canonical);
   return shift_result(std::move(canonical), base);
 }
@@ -134,7 +131,10 @@ net::ExchangeResult Comm::alltoallv_flat(
   }
   key.fault_salt = fault_salt;
 
-  return xfer_lookup_or_simulate(std::move(key), base);
+  if (const auto* hit = xfer_cache_.find(key)) {
+    return shift_result(*hit, base);
+  }
+  return simulate_and_memoize(std::move(key), base);
 }
 
 net::ExchangeResult Comm::alltoallv_sparse(
@@ -178,30 +178,27 @@ net::ExchangeResult Comm::alltoallv_sparse(
   rel_scratch.clear();
   rel_scratch.reserve(up);
   for (const cycles_t s : start) rel_scratch.push_back(s - base);
-  if (auto hit =
-          xfer_cache_.get(XferKeyView{rel_scratch, traffic, fault_salt})) {
-    return shift_result(std::move(*hit), base);
+  if (const auto* hit =
+          xfer_cache_.find(XferKeyView{rel_scratch, traffic, fault_salt})) {
+    return shift_result(*hit, base);
   }
 
+  // Miss: only now materialize the owning key for storage.
   XferKey key;
   key.rel_start = rel_scratch;
   key.traffic = traffic;
   key.fault_salt = fault_salt;
-  return xfer_lookup_or_simulate(std::move(key), base);
+  return simulate_and_memoize(std::move(key), base);
 }
 
-net::ExchangeResult Comm::xfer_lookup_or_simulate(XferKey key,
-                                                  cycles_t base) const {
-  if (auto hit = xfer_cache_.get(key)) {
-    return shift_result(std::move(*hit), base);
-  }
-
+net::ExchangeResult Comm::simulate_and_memoize(XferKey key,
+                                               cycles_t base) const {
   auto canonical = net::simulate_alltoallv_sparse(
       cfg_.net, cfg_.sw, key.rel_start, key.traffic, key.fault_salt);
 
   // Entries vary wildly in size (a ring keys in O(p), a dense all-to-all in
   // O(p^2)), so the bound is on total stored words, not entry count; the
-  // cache clears on overflow and skips entries above the per-entry cap.
+  // memo clears on overflow and skips entries above the per-entry cap.
   const std::size_t entry_words = key.rel_start.size() +
                                   2 * key.traffic.size() +
                                   4 * canonical.nodes.size() + 8;

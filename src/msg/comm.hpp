@@ -13,9 +13,9 @@
 #include <vector>
 
 #include "machine/config.hpp"
+#include "msg/bounded_memo.hpp"
 #include "net/barrier.hpp"
 #include "net/exchange.hpp"
-#include "support/snapcache.hpp"
 
 namespace qsm::msg {
 
@@ -101,13 +101,12 @@ class Comm {
     return net::MsgCost{cfg_.net, cfg_.sw}.isolated(bytes);
   }
 
-  /// Memo-cache counters (host diagnostics, never in a trace). The sparse
-  /// alltoallv path probes twice on a cold pattern (borrowed view, then
-  /// owning key), so its `misses` counts probes, not simulations.
-  [[nodiscard]] support::snap::Stats plan_cache_stats() const {
+  /// Memo counters (host diagnostics, never in a trace). Every call
+  /// probes its memo exactly once, so `misses` counts simulations.
+  [[nodiscard]] MemoStats plan_cache_stats() const {
     return plan_cache_.stats();
   }
-  [[nodiscard]] support::snap::Stats xfer_cache_stats() const {
+  [[nodiscard]] MemoStats xfer_cache_stats() const {
     return xfer_cache_.stats();
   }
 
@@ -189,23 +188,18 @@ class Comm {
     }
   };
 
-  /// Shared miss/lookup path behind both alltoallv entry points: `key`
-  /// already holds the canonical arrival pattern and sparse traffic.
-  [[nodiscard]] net::ExchangeResult xfer_lookup_or_simulate(
-      XferKey key, cycles_t base) const;
+  /// Miss path shared by both alltoallv entry points: simulates `key` (the
+  /// canonical arrival pattern and sparse traffic) and memoizes it.
+  [[nodiscard]] net::ExchangeResult simulate_and_memoize(XferKey key,
+                                                         cycles_t base) const;
 
   machine::MachineConfig cfg_;
-  // Pricing runs serially inside a runtime's phase completion, but sweep
-  // jobs and a future sweep-as-a-service daemon may share a Comm: both
-  // memos are read-mostly snapshot caches (support/snapcache.hpp), so a
-  // warm lookup is a wait-free generation claim, never a mutex. Capacity
-  // policy (entry cap on the plan memo, word cap + oversize skip on the
-  // xfer memo) is declared per cache in the constructor; under a
-  // single-thread host budget both drop to plain in-place maps.
-  mutable support::snap::Cache<PlanKey, net::ExchangeResult, PlanKeyHash>
-      plan_cache_;
-  mutable support::snap::Cache<XferKey, net::ExchangeResult, XferKeyHash,
-                               XferKeyEq>
+  // Each Runtime owns its Comm and prices phases on one thread, so both
+  // memos are plain maps with no locking. Capacity policy (entry cap on
+  // the plan memo, word cap + oversize skip on the xfer memo) is set in
+  // the constructor.
+  mutable BoundedMemo<PlanKey, net::ExchangeResult, PlanKeyHash> plan_cache_;
+  mutable BoundedMemo<XferKey, net::ExchangeResult, XferKeyHash, XferKeyEq>
       xfer_cache_;
 };
 

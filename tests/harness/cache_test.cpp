@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -114,94 +115,21 @@ TEST(ResultCache, DuplicateStoresAppendNothing) {
   EXPECT_EQ(store_records(cache.path()), 1u);
 }
 
-/// One legacy flat-cache line, as older builds wrote them.
-std::string legacy_line(const std::string& key, const PointResult& r) {
-  return "{\"h\":\"0000000000000000\",\"k\":\"" + key +
-         "\",\"r\":" + ResultCache::serialize(r) + "}\n";
-}
-
-TEST(ResultCache, LegacyJsonlMigratesOnFirstLoad) {
-  const std::string dir = test_dir("migrate");
+TEST(ResultCache, LeftoverFlatJsonlIsJustAColdCache) {
+  // Builds before the segment store wrote <workload>.jsonl. Nothing reads
+  // that format any more: a leftover file is ignored and left untouched,
+  // and its points recompute into the store.
+  const std::string dir = test_dir("leftover_jsonl");
   const PointKey key{"epoch=qsm1;workload=w;n=5"};
-  const PointResult r = sample_result();
   fs::create_directories(dir);
-  {
-    std::ofstream out(dir + "/w.jsonl", std::ios::binary);
-    out << legacy_line("stale", PointResult{});
-    out << legacy_line(key.text, r);
-    out << legacy_line("stale", r);  // duplicate: last line must win
-  }
-  {
-    ResultCache cache(dir, "w");
-    EXPECT_EQ(cache.loaded_entries(), 2u);
-    EXPECT_TRUE(cache.migrated_legacy());
-    const PointResult* hit = cache.lookup(key);
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(*hit, r);
-    ASSERT_NE(cache.lookup(PointKey{"stale"}), nullptr);
-    EXPECT_EQ(*cache.lookup(PointKey{"stale"}), r);
-  }
-  // The flat file was retired, the segment store took over, and a fresh
-  // instance reads the same results back from it byte-exactly.
-  EXPECT_FALSE(fs::exists(dir + "/w.jsonl"));
-  EXPECT_TRUE(fs::exists(dir + "/w.jsonl.migrated"));
-  EXPECT_EQ(store_records(dir + "/w.qstore"), 3u);  // dups migrate as-is
-  ResultCache reloaded(dir, "w");
-  EXPECT_EQ(reloaded.loaded_entries(), 2u);
-  EXPECT_FALSE(reloaded.migrated_legacy());
-  ASSERT_NE(reloaded.lookup(key), nullptr);
-  EXPECT_EQ(*reloaded.lookup(key), r);
-}
-
-TEST(ResultCache, InterruptedMigrationRedoesFromLegacyFile) {
-  // Legacy file and segment store coexisting = a migration that died
-  // before the rename. The legacy file is still the authority: the redo
-  // must wipe the partial store, not merge with it.
-  const std::string dir = test_dir("remigrate");
-  const PointKey key{"epoch=qsm1;workload=w;n=5"};
-  const PointResult r = sample_result();
-  fs::create_directories(dir);
-  std::ofstream(dir + "/w.jsonl", std::ios::binary)
-      << legacy_line(key.text, r);
-  {
-    support::durable::SegmentStore partial(dir + "/w.qstore", {});
-    auto w = partial.append(partial.make("partial", "{\"m\":{\"z\":1}}"));
-    ASSERT_TRUE(w.has_value());
-  }
+  const std::string legacy = "{\"k\":\"" + key.text + "\",\"r\":{}}\n";
+  std::ofstream(dir + "/w.jsonl", std::ios::binary) << legacy;
   ResultCache cache(dir, "w");
-  EXPECT_EQ(cache.loaded_entries(), 1u);
-  ASSERT_NE(cache.lookup(key), nullptr);
-  EXPECT_EQ(cache.lookup(PointKey{"partial"}), nullptr);  // wiped
-  EXPECT_EQ(store_records(dir + "/w.qstore"), 1u);
-}
-
-TEST(ResultCache, CorruptLegacyLinesAreSkippedNotFatal) {
-  // The migration path keeps the old tolerant reader: damaged lines are
-  // reported and skipped, never fatal, and never reach the new store.
-  const std::string dir = test_dir("corrupt");
-  const PointKey key{"epoch=qsm1;workload=w;n=5"};
-  const PointResult r = sample_result();
-  fs::create_directories(dir);
-  {
-    std::ofstream out(dir + "/w.jsonl", std::ios::binary);
-    out << legacy_line(key.text, r);
-    out << "not json at all\n";
-    out << "{\"h\":\"00\"}\n";                       // missing k/r
-    out << "{\"h\":\"00\",\"k\":\"x\",\"r\":{\"t\":[1]}}\n";  // bad timing
-    out << "{\"h\":\"00\",\"k\":\"y\",\"r\":{\"m\":{\"z\":\"s\"}}}\n";
-    out << "{\"h\":\"00\",\"k\":\"trunc";            // torn final line
-  }
-  ResultCache cache(dir, "w");
-  EXPECT_EQ(cache.loaded_entries(), 1u);
-  EXPECT_TRUE(cache.torn_tail());
-  EXPECT_EQ(cache.corrupt_lines(), 4u);
-  const PointResult* hit = cache.lookup(key);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(*hit, r);
-  EXPECT_EQ(cache.lookup(PointKey{"x"}), nullptr);
-  EXPECT_EQ(cache.lookup(PointKey{"y"}), nullptr);
-  // The redone store holds only the usable record.
-  EXPECT_EQ(store_records(dir + "/w.qstore"), 1u);
+  EXPECT_EQ(cache.loaded_entries(), 0u);
+  EXPECT_EQ(cache.lookup(key), nullptr);
+  cache.store_one(key, sample_result());
+  EXPECT_EQ(store_records(cache.path()), 1u);
+  EXPECT_EQ(fs::file_size(dir + "/w.jsonl"), legacy.size());
 }
 
 TEST(ResultCache, ReportsTornTailSeparatelyFromMidFileCorruption) {
@@ -347,28 +275,29 @@ TEST(ResultCache, FaultCountersExtendTimingRowsOnlyWhenPresent) {
 }
 
 TEST(ResultCache, ConcurrentStoresAppendEachKeyExactlyOnce) {
-  // Multi-job sweeps drain completions from pool threads. Under
-  // Mode::Concurrent every distinct key must land in the file exactly once
-  // even when racing writers carry the same key, and the file must reload
-  // cleanly (no torn or interleaved lines) — the snapshot index validates
-  // each append against the already-installed generation before the
-  // single write().
+  // Multi-job sweeps store completions from pool threads, each store
+  // under a caller-held mutex (SweepRunner's drain_m). Under that
+  // contract every distinct key must land in the store exactly once even
+  // when racing writers carry the same key, and the store must reload
+  // cleanly (no torn or interleaved records).
   const std::string dir = test_dir("concurrent");
   constexpr int kThreads = 4;
   constexpr int kKeys = 24;
   const PointResult r = sample_result();
   {
-    ResultCache cache(dir, "w", support::snap::Mode::Concurrent);
+    ResultCache cache(dir, "w");
+    std::mutex store_m;
     std::vector<std::thread> writers;
     writers.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
-      writers.emplace_back([&cache, &r, t] {
+      writers.emplace_back([&cache, &store_m, &r, t] {
         for (int k = 0; k < kKeys; ++k) {
           // Interleave so every key is contended by all threads, in
           // different orders per thread.
           const int key_id = (k + t * 7) % kKeys;
           const PointKey key{"epoch=qsm1;workload=w;n=" +
                              std::to_string(key_id)};
+          const std::lock_guard<std::mutex> lk(store_m);
           cache.store_one(key, r);
         }
       });
@@ -390,9 +319,10 @@ TEST(ResultCache, ConcurrentStoresAppendEachKeyExactlyOnce) {
 }
 
 TEST(ResultCache, ConcurrentSupersedeKeepsFileParseable) {
-  // Failure rows may be superseded by racing successes; whatever
-  // interleaving wins, the file must stay line-parseable and reload to a
-  // success for every key.
+  // Failure rows may be superseded by racing successes (stores serialised
+  // by the caller's mutex); whatever order wins, each failure row is
+  // superseded exactly once, the store stays parseable and every key
+  // reloads to a success.
   const std::string dir = test_dir("concurrent_supersede");
   constexpr int kKeys = 8;
   PointResult fail;
@@ -400,20 +330,24 @@ TEST(ResultCache, ConcurrentSupersedeKeepsFileParseable) {
   fail.fail_reason = "transient";
   const PointResult good = sample_result();
   {
-    ResultCache cache(dir, "w", support::snap::Mode::Concurrent);
+    ResultCache cache(dir, "w");
     for (int k = 0; k < kKeys; ++k) {
       cache.store_one(PointKey{"n=" + std::to_string(k)}, fail);
     }
+    std::mutex store_m;
     std::vector<std::thread> writers;
     for (int t = 0; t < 4; ++t) {
-      writers.emplace_back([&cache, &good, t] {
+      writers.emplace_back([&cache, &store_m, &good, t] {
         for (int k = 0; k < kKeys; ++k) {
-          cache.store_one(PointKey{"n=" + std::to_string((k + t) % kKeys)},
-                          good);
+          const PointKey key{"n=" + std::to_string((k + t) % kKeys)};
+          const std::lock_guard<std::mutex> lk(store_m);
+          cache.store_one(key, good);
         }
       });
     }
     for (auto& w : writers) w.join();
+    EXPECT_EQ(cache.durable_store().records(),
+              static_cast<std::size_t>(2 * kKeys));
   }
   ResultCache reloaded(dir, "w");
   EXPECT_EQ(reloaded.corrupt_lines(), 0u);

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -484,6 +485,68 @@ TEST(SweepRunner, RecoveredUnsealedSegmentBehavesLikeCleanShutdown) {
   EXPECT_FALSE(cache.torn_tail());
   ASSERT_NE(cache.lookup(PointKey{"flaky"}), nullptr);
   EXPECT_TRUE(cache.lookup(PointKey{"flaky"})->ok());
+}
+
+TEST(SweepRunner, ConcurrentDrainStoresEachKeyExactlyOnce) {
+  // The result cache has no lock of its own: with several jobs, the
+  // runner's drain mutex is what serialises stores from the worker pool.
+  // Eight jobs race real simulations, throwing points and duplicate keys
+  // in the batch past a pre-seeded failure row. Every key must land in the
+  // store exactly once, except the failure row, which the retry's success
+  // supersedes with exactly one more record; the store must reload clean.
+  const std::string dir = test_dir("concurrent_drain");
+  constexpr int kKeys = 24;
+  constexpr int kSeeded = 3;
+  const auto key = [](int k) { return PointKey{"k" + std::to_string(k)}; };
+  const auto throws = [](int k) { return k % 5 == 4; };
+  {
+    PointResult fail;
+    fail.status = "error";
+    fail.fail_reason = "transient";
+    ResultCache seed(dir, "sweep_test");
+    seed.store_one(key(kSeeded), fail);
+  }
+  RunnerOptions opts;
+  opts.workload = "sweep_test";
+  opts.cache_dir = dir;
+  opts.jobs = 8;
+  opts.tolerate_failures = true;
+  SweepRunner runner(opts);
+  std::atomic<int> calls{0};
+  for (int rep = 0; rep < 2; ++rep) {
+    for (int k = 0; k < kKeys; ++k) {
+      runner.submit(key(k), [&calls, &throws, k]() -> PointResult {
+        calls.fetch_add(1);
+        if (throws(k)) throw std::runtime_error("synthetic failure");
+        // Uneven sizes so points finish out of submission order.
+        return simulate_point(64u << (k % 4), static_cast<std::uint64_t>(k + 1));
+      });
+    }
+  }
+  const auto results = runner.run_all();
+  ASSERT_EQ(results.size(), static_cast<std::size_t>(2 * kKeys));
+  EXPECT_EQ(calls.load(), kKeys);  // duplicates fan out, never recompute
+  EXPECT_EQ(runner.stats().computed, static_cast<std::size_t>(kKeys));
+
+  std::map<std::string, int> records_per_key;
+  support::durable::SegmentStore scan(dir + "/sweep_test.qstore", {});
+  for (const auto& rec : scan.load(nullptr)) records_per_key[rec.key] += 1;
+  ASSERT_EQ(records_per_key.size(), static_cast<std::size_t>(kKeys));
+  for (int k = 0; k < kKeys; ++k) {
+    EXPECT_EQ(records_per_key[key(k).text], k == kSeeded ? 2 : 1)
+        << "key " << k;
+  }
+
+  ResultCache reloaded(dir, "sweep_test");
+  EXPECT_FALSE(reloaded.torn_tail());
+  EXPECT_EQ(reloaded.corrupt_lines(), 0u);
+  EXPECT_EQ(reloaded.loaded_entries(), static_cast<std::size_t>(kKeys));
+  for (int k = 0; k < kKeys; ++k) {
+    const PointResult* hit = reloaded.lookup(key(k));
+    ASSERT_NE(hit, nullptr) << "key " << k;
+    EXPECT_EQ(hit->ok(), !throws(k)) << "key " << k;
+    EXPECT_EQ(*hit, results[static_cast<std::size_t>(k)]) << "key " << k;
+  }
 }
 
 TEST(SweepRunner, RunAllClearsTheQueueAndAccumulatesStats) {
