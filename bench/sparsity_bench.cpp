@@ -1,27 +1,23 @@
-// Traffic-representation benchmark: what the sparse phase pipeline buys.
-//
-// The phase pipeline carries per-(source, owner) traffic either as CSR-style
-// sparse lists (cost O(active pairs + p) per phase) or as the classic p x p
-// matrices (cost O(p^2) regardless of how many pairs are active). This bench
-// times both on the two extremes of the paper's workloads:
+// Traffic-pipeline throughput: phases/sec of the phase pipeline's one
+// traffic form (CSR rows per source, serial rank-major puts) on the two
+// extremes of the paper's workloads:
 //
 //   listrank at n = 4p — the irregular-communication workload at its
 //       sparsest: O(1) list items per node, so each phase touches a few
-//       thousand pairs while the dense form walks tens of millions of
-//       matrix cells at p = 4096;
-//   samplesort — the key exchange is a genuine all-to-all, where Auto's
-//       density pre-pass must bail to the dense form and cost no more than
-//       a few percent over forcing it.
+//       thousand (source, owner) pairs even at p = 4096;
+//   samplesort — the key exchange is a genuine all-to-all, p^2 pairs.
 //
-// Reported as phases/sec, forced-dense vs auto, with the auto runs' mode
-// counters showing which representation actually ran. Both modes must
-// produce bit-identical traces (the sparse-parity suite is the real
-// oracle; the JSON records the check). Emits BENCH_sparsity.json.
+// Each row times `reps` runs on one long-lived runtime after a warm-up run
+// (best of). Bit-identity of the traces is the test suites' job (goldens,
+// traffic oracle); this bench only measures host throughput. The JSON
+// records where the numbers came from (git SHA at configure time, build
+// type, compiler, host cores) so baselines are compared like for like.
+// Emits BENCH_sparsity.json; CI gates listrank p = 1024 against it.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "algos/listrank.hpp"
@@ -34,21 +30,18 @@ namespace {
 
 using namespace qsm;
 
-struct ModeTiming {
-  double best_seconds{0};
-  std::uint64_t phases{0};
-  std::uint64_t sparse_phases{0};
-  std::uint64_t dense_phases{0};
-  rt::RunResult trace;
-};
+#if defined(__clang__)
+constexpr const char* kCompiler = "clang " __clang_version__;
+#else
+constexpr const char* kCompiler = "gcc " __VERSION__;
+#endif
 
 struct Row {
   std::string workload;
   int p{0};
   std::uint64_t n{0};
-  ModeTiming dense;
-  ModeTiming autod;
-  bool identical{false};
+  double best_seconds{0};
+  std::uint64_t phases{0};
 };
 
 /// Smallest power-of-two n satisfying sample sort's p^2 * ceil(log2 n) <= n.
@@ -67,24 +60,18 @@ std::uint64_t sort_n_for(int p) {
 /// Times `reps` runs of `run_once` on one long-lived runtime (one warmup
 /// run first: lanes spawn and every phase's exchange pattern lands in the
 /// comm memo, so timed reps measure the pipeline, not first-touch DES).
-template <typename MakeRuntime, typename RunOnce>
-ModeTiming time_mode(MakeRuntime make_runtime, RunOnce run_once, int reps) {
-  auto runtime = make_runtime();
-  ModeTiming t;
-  t.trace = run_once(*runtime);
-  t.phases = t.trace.phases;
-  t.best_seconds = 1e30;
+template <typename RunOnce>
+void time_runs(Row& row, rt::Runtime& runtime, RunOnce run_once, int reps) {
+  row.phases = run_once(runtime).phases;
+  row.best_seconds = 1e30;
   for (int rep = 0; rep < reps; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
-    const auto r = run_once(*runtime);
+    const auto r = run_once(runtime);
     const auto t1 = std::chrono::steady_clock::now();
-    QSM_REQUIRE(r.phases == t.trace.phases, "phase count drifted across reps");
-    t.best_seconds = std::min(
-        t.best_seconds, std::chrono::duration<double>(t1 - t0).count());
+    QSM_REQUIRE(r.phases == row.phases, "phase count drifted across reps");
+    row.best_seconds = std::min(
+        row.best_seconds, std::chrono::duration<double>(t1 - t0).count());
   }
-  t.sparse_phases = runtime->host_sparse_phases();
-  t.dense_phases = runtime->host_dense_phases();
-  return t;
 }
 
 Row listrank_row(const machine::MachineConfig& base, int p, int reps,
@@ -94,23 +81,18 @@ Row listrank_row(const machine::MachineConfig& base, int p, int reps,
   row.p = p;
   row.n = static_cast<std::uint64_t>(4) * static_cast<std::uint64_t>(p);
   const auto list = algos::make_random_list(row.n, seed ^ 5);
-  const auto make = [&](rt::TrafficMode mode) {
-    return [&base, p, mode, seed] {
-      auto variant = base;
-      variant.p = p;
-      return std::make_unique<rt::Runtime>(
-          variant, rt::Options{.seed = seed, .traffic = mode});
-    };
-  };
-  const auto once = [&](rt::Runtime& runtime) {
-    auto ranks = runtime.alloc<std::int64_t>(row.n);
-    auto timing = algos::list_rank(runtime, list, ranks).timing;
-    runtime.free(ranks);
-    return timing;
-  };
-  row.dense = time_mode(make(rt::TrafficMode::Dense), once, reps);
-  row.autod = time_mode(make(rt::TrafficMode::Auto), once, reps);
-  row.identical = row.dense.trace == row.autod.trace;
+  auto variant = base;
+  variant.p = p;
+  rt::Runtime runtime(variant, rt::Options{.seed = seed});
+  time_runs(
+      row, runtime,
+      [&](rt::Runtime& r) {
+        auto ranks = r.alloc<std::int64_t>(row.n);
+        auto timing = algos::list_rank(r, list, ranks).timing;
+        r.free(ranks);
+        return timing;
+      },
+      reps);
   return row;
 }
 
@@ -121,32 +103,30 @@ Row samplesort_row(const machine::MachineConfig& base, int p, int reps,
   row.p = p;
   row.n = sort_n_for(p);
   const auto& keys = bench::scratch_keys(row.n, seed ^ 7);
-  const auto make = [&](rt::TrafficMode mode) {
-    return [&base, p, mode, seed] {
-      auto variant = base;
-      variant.p = p;
-      return std::make_unique<rt::Runtime>(
-          variant, rt::Options{.seed = seed, .traffic = mode});
-    };
-  };
-  const auto once = [&](rt::Runtime& runtime) {
-    auto data = runtime.alloc<std::int64_t>(row.n);
-    runtime.host_fill(data, keys);
-    auto timing = algos::sample_sort(runtime, data).timing;
-    runtime.free(data);
-    return timing;
-  };
-  row.dense = time_mode(make(rt::TrafficMode::Dense), once, reps);
-  row.autod = time_mode(make(rt::TrafficMode::Auto), once, reps);
-  row.identical = row.dense.trace == row.autod.trace;
+  auto variant = base;
+  variant.p = p;
+  rt::Runtime runtime(variant, rt::Options{.seed = seed});
+  time_runs(
+      row, runtime,
+      [&](rt::Runtime& r) {
+        auto data = r.alloc<std::int64_t>(row.n);
+        r.host_fill(data, keys);
+        auto timing = algos::sample_sort(r, data).timing;
+        r.free(data);
+        return timing;
+      },
+      reps);
   return row;
+}
+
+double phases_per_sec(const Row& row) {
+  return static_cast<double>(row.phases) / row.best_seconds;
 }
 
 int run(int argc, const char* const* argv) {
   support::ArgParser args("bench_sparsity",
-                          "dense vs sparse per-phase traffic representation: "
-                          "phases/sec on sparse (listrank) and all-to-all "
-                          "(samplesort) workloads");
+                          "phase-pipeline throughput: phases/sec on sparse "
+                          "(listrank) and all-to-all (samplesort) traffic");
   bench::register_common_flags(args);
   args.flag_str("procs", "64,256,1024,4096",
                 "listrank processor counts (n = 4p each)");
@@ -159,7 +139,7 @@ int run(int argc, const char* const* argv) {
   const auto sort_procs = bench::parse_csv_i64(args.str("sort-procs"));
 
   std::printf(
-      "== Traffic representation (machine %s, %d reps, best-of) ==\n\n",
+      "== Traffic pipeline throughput (machine %s, %d reps, best-of) ==\n\n",
       cfg.machine.name.c_str(), cfg.reps);
 
   std::vector<Row> rows;
@@ -172,28 +152,14 @@ int run(int argc, const char* const* argv) {
                                   cfg.reps, cfg.seed));
   }
 
-  support::TextTable table({"workload", "p", "n", "dense ph/s", "auto ph/s",
-                            "speedup", "auto sparse/dense phases"});
-  table.set_precision(3, 1);
+  support::TextTable table({"workload", "p", "n", "phases", "phases/s"});
   table.set_precision(4, 1);
-  table.set_precision(5, 2);
   for (const Row& row : rows) {
     table.add_row({row.workload, static_cast<long long>(row.p),
                    static_cast<long long>(row.n),
-                   static_cast<double>(row.dense.phases) /
-                       row.dense.best_seconds,
-                   static_cast<double>(row.autod.phases) /
-                       row.autod.best_seconds,
-                   row.dense.best_seconds / row.autod.best_seconds,
-                   std::to_string(row.autod.sparse_phases) + "/" +
-                       std::to_string(row.autod.dense_phases)});
+                   static_cast<long long>(row.phases), phases_per_sec(row)});
   }
   bench::emit(table, cfg);
-
-  bool all_identical = true;
-  for (const Row& row : rows) all_identical = all_identical && row.identical;
-  std::printf("traces identical across representations: %s\n",
-              all_identical ? "yes" : "NO — determinism bug");
 
   support::JsonWriter json;
   json.begin_object();
@@ -203,8 +169,14 @@ int run(int argc, const char* const* argv) {
   json.value(cfg.machine.name);
   json.key("reps");
   json.value(static_cast<std::int64_t>(cfg.reps));
-  json.key("traces_identical");
-  json.value(all_identical);
+  json.key("git_sha");
+  json.value(QSMKIT_GIT_SHA);
+  json.key("build_type");
+  json.value(QSMKIT_BUILD_TYPE);
+  json.key("compiler");
+  json.value(kCompiler);
+  json.key("nproc");
+  json.value(static_cast<std::int64_t>(std::thread::hardware_concurrency()));
   json.key("grid");
   json.begin_array();
   for (const Row& row : rows) {
@@ -214,23 +186,13 @@ int run(int argc, const char* const* argv) {
     json.key("p");
     json.value(static_cast<std::int64_t>(row.p));
     json.key("n");
-    json.value(static_cast<std::uint64_t>(row.n));
+    json.value(row.n);
     json.key("phases");
-    json.value(row.dense.phases);
-    json.key("dense_seconds");
-    json.value(row.dense.best_seconds);
-    json.key("auto_seconds");
-    json.value(row.autod.best_seconds);
-    json.key("dense_phases_per_sec");
-    json.value(static_cast<double>(row.dense.phases) / row.dense.best_seconds);
-    json.key("auto_phases_per_sec");
-    json.value(static_cast<double>(row.autod.phases) / row.autod.best_seconds);
-    json.key("speedup");
-    json.value(row.dense.best_seconds / row.autod.best_seconds);
-    json.key("auto_sparse_phases");
-    json.value(row.autod.sparse_phases);
-    json.key("auto_dense_phases");
-    json.value(row.autod.dense_phases);
+    json.value(row.phases);
+    json.key("seconds");
+    json.value(row.best_seconds);
+    json.key("phases_per_sec");
+    json.value(phases_per_sec(row));
     json.end_object();
   }
   json.end_array();
@@ -245,11 +207,7 @@ int run(int argc, const char* const* argv) {
   std::fprintf(f, "%s\n", json.str().c_str());
   std::fclose(f);
   std::printf("(json written to %s)\n", out_path.c_str());
-  std::printf(
-      "expected shape: auto rides the sparse representation on listrank "
-      "(speedup growing ~p^2/active-pairs) and falls back to dense on "
-      "samplesort (speedup ~1.0, the pre-pass is noise).\n");
-  return all_identical ? 0 : 1;
+  return 0;
 }
 
 }  // namespace

@@ -85,12 +85,6 @@ struct Options {
   /// the host thread budget. Like host_workers, a pure host-throughput
   /// knob: every mode produces bit-identical traces.
   LaneMode lanes{LaneMode::Auto};
-  /// Per-phase traffic representation: Auto picks sparse or dense per phase
-  /// from a density bound over the request spans; Sparse/Dense force one
-  /// form everywhere. A third host-throughput knob with the same contract
-  /// as the two above — traces are bit-identical across all three values
-  /// (pinned by the sparse-parity suite).
-  TrafficMode traffic{TrafficMode::Auto};
 };
 
 class Runtime;
@@ -215,13 +209,10 @@ class Runtime {
   [[nodiscard]] LaneMode lane_mode() const { return exec_.lane_mode(); }
   /// Carrier threads multiplexing fiber lanes (0 in thread mode).
   [[nodiscard]] int host_carriers() const { return exec_.carriers(); }
-  /// Phases processed through each traffic representation so far (host
-  /// introspection for benches and the parity suite; never in a trace).
+  /// Phases the pipeline has processed so far, all through its one CSR
+  /// traffic form (host introspection for benches; never in a trace).
   [[nodiscard]] std::uint64_t host_sparse_phases() const {
-    return pipeline_.sparse_phases();
-  }
-  [[nodiscard]] std::uint64_t host_dense_phases() const {
-    return pipeline_.dense_phases();
+    return pipeline_.phases();
   }
 
  private:

@@ -17,7 +17,6 @@ SharedStore::Handle SharedStore::allocate(std::uint64_t n, Layout layout,
   s.n = n;
   s.chunk = block_chunk(n, nprocs_);
   s.data.assign(n, 0);
-  if (layout == Layout::Hashed) ++hashed_live_;
 
   if (!free_ids_.empty()) {
     const std::uint32_t id = free_ids_.back();
@@ -37,10 +36,6 @@ SharedStore::Handle SharedStore::allocate(std::uint64_t n, Layout layout,
 
 void SharedStore::release(std::uint32_t id, std::uint32_t generation) {
   ArraySlot& s = slot(id, generation);  // rejects stale handles/double free
-  if (s.layout == Layout::Hashed) {
-    QSM_ASSERT(hashed_live_ > 0, "hashed slot count underflow");
-    --hashed_live_;
-  }
   s.freed = true;
   s.generation++;
   s.data.clear();
@@ -62,36 +57,6 @@ const ArraySlot& SharedStore::slot(std::uint32_t id,
               "use of stale GlobalArray handle: slot of '" + s.name +
                   "' was freed and reallocated");
   return s;
-}
-
-void SharedStore::accumulate_owner_counts(const ArraySlot& s,
-                                          std::uint64_t start,
-                                          std::uint64_t count,
-                                          std::uint64_t* counts) const {
-  const auto p = static_cast<std::uint64_t>(nprocs_);
-  switch (s.layout) {
-    case Layout::Block:
-      for_each_block_run(s, start, count,
-                         [&](int o, std::uint64_t, std::uint64_t len) {
-                           counts[o] += len;
-                         });
-      return;
-    case Layout::Cyclic: {
-      const std::uint64_t cycles = count / p;
-      if (cycles > 0) {
-        for (std::uint64_t j = 0; j < p; ++j) counts[j] += cycles;
-      }
-      for (std::uint64_t k = start + cycles * p; k < start + count; ++k) {
-        counts[k % p]++;
-      }
-      return;
-    }
-    case Layout::Hashed:
-      for (std::uint64_t k = start; k < start + count; ++k) {
-        counts[hash_index(k, s.salt) % p]++;
-      }
-      return;
-  }
 }
 
 }  // namespace qsm::rt

@@ -110,18 +110,40 @@ class SharedStore {
     }
   }
 
-  /// Adds the per-owner word counts of [start, start + count) into
-  /// counts[0..p). Closed-form for Block and Cyclic; per-word only for
-  /// Hashed.
-  void accumulate_owner_counts(const ArraySlot& s, std::uint64_t start,
-                               std::uint64_t count,
-                               std::uint64_t* counts) const;
+  /// Calls fn(owner, words) for the owners of [start, start + count),
+  /// giving the words each owns there: one call per run for Block, one per
+  /// owner (min(count, p) calls) for Cyclic, and one per word for Hashed,
+  /// where an owner may repeat. The words of all calls sum to `count`.
+  template <typename Fn>
+  void for_each_owner_count(const ArraySlot& s, std::uint64_t start,
+                            std::uint64_t count, Fn&& fn) const {
+    const auto p = static_cast<std::uint64_t>(nprocs_);
+    switch (s.layout) {
+      case Layout::Block:
+        for_each_block_run(s, start, count,
+                           [&](int o, std::uint64_t, std::uint64_t len) {
+                             fn(o, len);
+                           });
+        return;
+      case Layout::Cyclic:
+        // Owner of start + t holds every p-th word from there.
+        for (std::uint64_t t = 0; t < std::min(count, p); ++t) {
+          fn(static_cast<int>((start + t) % p), (count - t + p - 1) / p);
+        }
+        return;
+      case Layout::Hashed:
+        for (std::uint64_t k = start; k < start + count; ++k) {
+          fn(static_cast<int>(hash_index(k, s.salt) % p), std::uint64_t{1});
+        }
+        return;
+    }
+  }
 
   /// Upper bound on the distinct owners of [start, start + count), in O(1).
   /// Exact for Block (ownership is contiguous, so owners == runs ==
   /// last_owner - first_owner + 1); min(count, p) for Cyclic and Hashed.
-  /// The phase pipeline's traffic-density pre-pass sums these to decide
-  /// sparse vs dense classification without touching any word.
+  /// The phase pipeline's pre-pass sums these to size each source's CSR
+  /// row without touching any word.
   [[nodiscard]] std::uint64_t owner_span_bound(const ArraySlot& s,
                                                std::uint64_t start,
                                                std::uint64_t count) const {
@@ -133,16 +155,10 @@ class SharedStore {
                                    static_cast<std::uint64_t>(nprocs_));
   }
 
-  /// True while any live slot uses Layout::Hashed. Lets the phase pipeline
-  /// skip the per-word hashed-owner bookkeeping entirely for the common
-  /// all-Block/Cyclic program.
-  [[nodiscard]] bool has_hashed() const { return hashed_live_ > 0; }
-
  private:
   std::uint64_t seed_;
   int nprocs_;
   std::uint64_t alloc_seq_{0};
-  std::uint64_t hashed_live_{0};  ///< live Hashed-layout slots, see has_hashed
   std::vector<ArraySlot> slots_;
   std::vector<std::uint32_t> free_ids_;
 };

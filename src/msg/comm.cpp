@@ -102,41 +102,6 @@ net::ExchangeResult Comm::allgather(const std::vector<cycles_t>& start,
   return shift_result(std::move(canonical), base);
 }
 
-net::ExchangeResult Comm::alltoallv_flat(
-    const std::vector<cycles_t>& start, const std::vector<std::int64_t>& bytes,
-    std::uint64_t fault_salt) const {
-  const int p = cfg_.p;
-  if (!cfg_.net.fault.message_faults_enabled()) fault_salt = 0;
-  const auto up = static_cast<std::size_t>(p);
-  QSM_REQUIRE(start.size() == up, "start times must cover every node");
-  QSM_REQUIRE(bytes.size() == up * up, "bytes matrix must be p x p");
-  cycles_t base = start[0];
-  for (const cycles_t s : start) {
-    QSM_REQUIRE(s >= 0, "start times must be non-negative");
-    base = std::min(base, s);
-  }
-
-  XferKey key;
-  key.rel_start.reserve(up);
-  for (const cycles_t s : start) key.rel_start.push_back(s - base);
-  // Same traffic order as simulate_alltoallv: source-major, destination
-  // ascending, zero entries dropped.
-  for (std::size_t i = 0; i < up; ++i) {
-    for (std::size_t j = 0; j < up; ++j) {
-      const std::int64_t b = bytes[i * up + j];
-      if (i != j && b > 0) {
-        key.traffic.emplace_back(static_cast<std::int64_t>(i * up + j), b);
-      }
-    }
-  }
-  key.fault_salt = fault_salt;
-
-  if (const auto* hit = xfer_cache_.find(key)) {
-    return shift_result(*hit, base);
-  }
-  return simulate_and_memoize(std::move(key), base);
-}
-
 net::ExchangeResult Comm::alltoallv_sparse(
     const std::vector<cycles_t>& start,
     const std::vector<std::pair<std::int64_t, std::int64_t>>& traffic,
@@ -151,10 +116,9 @@ net::ExchangeResult Comm::alltoallv_sparse(
     base = std::min(base, s);
   }
 
-  // The caller supplies exactly the nonzero entries alltoallv_flat would
-  // extract: flat index ascending (row-major), positive bytes, no
-  // diagonal. Enforcing that here keeps the two entry points' memo keys —
-  // and therefore their results — byte-identical by construction. The
+  // The traffic list is the canonical nonzero set of a p x p byte matrix:
+  // flat index ascending (row-major), positive bytes, no diagonal.
+  // Enforcing that keeps equal exchanges on byte-identical memo keys. The
   // ascending walk lets the row tracking advance instead of dividing.
   std::int64_t prev_idx = -1;
   std::int64_t row = 0;
@@ -188,11 +152,6 @@ net::ExchangeResult Comm::alltoallv_sparse(
   key.rel_start = rel_scratch;
   key.traffic = traffic;
   key.fault_salt = fault_salt;
-  return simulate_and_memoize(std::move(key), base);
-}
-
-net::ExchangeResult Comm::simulate_and_memoize(XferKey key,
-                                               cycles_t base) const {
   auto canonical = net::simulate_alltoallv_sparse(
       cfg_.net, cfg_.sw, key.rel_start, key.traffic, key.fault_salt);
 

@@ -38,36 +38,14 @@ class Comm {
     return net::simulate_tree_barrier(cfg_.net, cfg_.sw, arrive);
   }
 
-  /// Personalized all-to-all: node i sends bytes[i][j] payload to node j.
-  /// `fault_salt` (see net/fault.hpp) activates message-fault draws for
-  /// this exchange; 0 — the default everywhere — is the fault-free path.
-  [[nodiscard]] net::ExchangeResult alltoallv(
-      const std::vector<cycles_t>& start,
-      const std::vector<std::vector<std::int64_t>>& bytes,
-      std::uint64_t fault_salt = 0) const {
-    return net::simulate_alltoallv(cfg_.net, cfg_.sw, start, bytes,
-                                   fault_salt);
-  }
-
-  /// Same exchange over a row-major p*p byte matrix. The phase pipeline
-  /// prices two exchanges per sync() into reusable flat scratch; this
-  /// overload avoids rebuilding a vector-of-vectors every phase. Produces
-  /// the identical message set (and therefore identical timing) as the
-  /// nested-matrix form. Memoized by (relative arrival pattern, nonzero
-  /// traffic triples) via the same time-translation argument as
-  /// allgather(); iterative algorithms whose phases repeat a traffic shape
-  /// pay the event simulation once.
-  [[nodiscard]] net::ExchangeResult alltoallv_flat(
-      const std::vector<cycles_t>& start,
-      const std::vector<std::int64_t>& bytes,
-      std::uint64_t fault_salt = 0) const;
-
-  /// Sparse form of the same exchange: `traffic` lists only the active
-  /// messages as (src * p + dst, bytes) pairs, ascending in flat index,
-  /// with bytes > 0 and src != dst — exactly the nonzero entries
-  /// alltoallv_flat extracts from its matrix. Both entry points therefore
-  /// build byte-identical memo keys, share cache entries, and return
-  /// bit-identical results; this one costs O(active pairs), not O(p^2).
+  /// Personalized all-to-all: `traffic` lists the active messages as
+  /// (src * p + dst, bytes) pairs, ascending in flat index, with bytes > 0
+  /// and src != dst; costs O(active pairs), never O(p^2). `fault_salt`
+  /// (see net/fault.hpp) activates message-fault draws for this exchange;
+  /// 0 — the default everywhere — is the fault-free path. Memoized by
+  /// (relative arrival pattern, traffic, salt) via the same
+  /// time-translation argument as allgather(): iterative algorithms whose
+  /// phases repeat a traffic shape pay the event simulation once.
   [[nodiscard]] net::ExchangeResult alltoallv_sparse(
       const std::vector<cycles_t>& start,
       const std::vector<std::pair<std::int64_t, std::int64_t>>& traffic,
@@ -187,11 +165,6 @@ class Comm {
              a.traffic == b.traffic;
     }
   };
-
-  /// Miss path shared by both alltoallv entry points: simulates `key` (the
-  /// canonical arrival pattern and sparse traffic) and memoizes it.
-  [[nodiscard]] net::ExchangeResult simulate_and_memoize(XferKey key,
-                                                         cycles_t base) const;
 
   machine::MachineConfig cfg_;
   // Each Runtime owns its Comm and prices phases on one thread, so both

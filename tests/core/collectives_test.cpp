@@ -105,43 +105,6 @@ TEST(Collectives, SingleNodeDegenerates) {
   });
 }
 
-TEST(Collectives, SparseDenseParity) {
-  // The transposed cyclic slot matrix turned each collective's outgoing
-  // row into two strided put_range spans, which is what lets the sparse
-  // traffic pipeline hand these phases to Comm::alltoallv_sparse instead
-  // of building dense O(p) per-node rows. The contract is that this is a
-  // pure host-throughput change: forcing either representation must
-  // produce bit-identical traces.
-  for (const int p : {4, 16, 64}) {
-    const auto program = [p](Collectives& coll) {
-      return [&coll, p](Context& ctx) {
-        const auto sum = coll.allreduce_sum(ctx, ctx.rank() + 1);
-        EXPECT_EQ(sum, p * (p + 1) / 2);
-        (void)coll.broadcast(ctx, ctx.rank(), p - 1);
-        (void)coll.exscan_sum(ctx, 2);
-        (void)coll.allgather(ctx, ctx.rank() * 3);
-      };
-    };
-    Runtime dense_rt(machine::default_sim(p),
-                     Options{.traffic = TrafficMode::Dense});
-    Collectives dense_coll(dense_rt);
-    const auto dense = dense_rt.run(program(dense_coll));
-    EXPECT_GT(dense_rt.host_dense_phases(), 0u);
-    EXPECT_EQ(dense_rt.host_sparse_phases(), 0u);
-
-    Runtime sparse_rt(machine::default_sim(p),
-                      Options{.traffic = TrafficMode::Sparse});
-    Collectives sparse_coll(sparse_rt);
-    const auto sparse = sparse_rt.run(program(sparse_coll));
-    // Every collective phase actually routed through the sparse pipeline
-    // (and so through Comm::alltoallv_sparse), not the dense fallback.
-    EXPECT_EQ(sparse_rt.host_sparse_phases(), 4u) << "p=" << p;
-    EXPECT_EQ(sparse_rt.host_dense_phases(), 0u);
-
-    EXPECT_EQ(dense, sparse) << "trace diverged at p=" << p;
-  }
-}
-
 TEST(Collectives, WorksUnderRuleChecking) {
   Runtime rt(machine::default_sim(4), Options{.check_rules = true});
   Collectives coll(rt);

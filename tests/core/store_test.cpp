@@ -120,7 +120,11 @@ TEST(SharedStore, OwnerCountsMatchPerWordOwnerForEveryLayout) {
     for (std::uint64_t start = 0; start < 61; start += 9) {
       const std::uint64_t count = std::min<std::uint64_t>(17, 61 - start);
       std::vector<std::uint64_t> closed(p, 0);
-      store.accumulate_owner_counts(s, start, count, closed.data());
+      store.for_each_owner_count(
+          s, start, count,
+          [&](int o, std::uint64_t words) {
+            closed[static_cast<std::size_t>(o)] += words;
+          });
       std::vector<std::uint64_t> naive(p, 0);
       for (std::uint64_t i = start; i < start + count; ++i) {
         naive[static_cast<std::size_t>(store.owner(s, i))]++;
@@ -135,11 +139,19 @@ TEST(SharedStore, AccumulateIsAdditive) {
   SharedStore store(1, 4);
   const auto h = store.allocate(100, Layout::Cyclic, "");
   const auto& s = store.slot(h.id, h.generation);
+  const auto accumulate = [&](std::uint64_t start, std::uint64_t count,
+                              std::vector<std::uint64_t>& counts) {
+    store.for_each_owner_count(
+        s, start, count,
+        [&](int o, std::uint64_t words) {
+          counts[static_cast<std::size_t>(o)] += words;
+        });
+  };
   std::vector<std::uint64_t> counts(4, 0);
-  store.accumulate_owner_counts(s, 0, 50, counts.data());
-  store.accumulate_owner_counts(s, 50, 50, counts.data());
+  accumulate(0, 50, counts);
+  accumulate(50, 50, counts);
   std::vector<std::uint64_t> whole(4, 0);
-  store.accumulate_owner_counts(s, 0, 100, whole.data());
+  accumulate(0, 100, whole);
   EXPECT_EQ(counts, whole);
 }
 

@@ -53,11 +53,20 @@ TEST(Comm, GatherRootSendsNothing) {
 }
 
 TEST(Comm, AlltoallvDiagonalIgnored) {
+  // The nested-matrix reference drops its diagonal; the sparse entry point
+  // takes only the off-diagonal pairs and sends the same six messages.
   const auto c = default_comm(3);
-  std::vector<std::vector<std::int64_t>> bytes{
+  const std::vector<std::vector<std::int64_t>> bytes{
       {50, 10, 10}, {10, 50, 10}, {10, 10, 50}};
-  const auto r = c.alltoallv(std::vector<support::cycles_t>(3, 0), bytes);
+  const std::vector<std::pair<std::int64_t, std::int64_t>> traffic{
+      {1, 10}, {2, 10}, {3, 10}, {5, 10}, {6, 10}, {7, 10}};
+  const std::vector<support::cycles_t> start(3, 0);
+  const auto r = c.alltoallv_sparse(start, traffic);
   EXPECT_EQ(r.messages, 6u);
+  const auto ref = net::simulate_alltoallv(c.config().net, c.config().sw,
+                                           start, bytes);
+  EXPECT_EQ(r.messages, ref.messages);
+  EXPECT_EQ(r.finish, ref.finish);
 }
 
 TEST(Comm, PointToPointMatchesIsolatedCost) {
@@ -84,19 +93,19 @@ TEST(Comm, ControlAllgatherIsCheaperThanDataAllgather) {
   EXPECT_EQ(control.messages, data.messages);
 }
 
-TEST(Comm, SparseAlltoallvMatchesFlat) {
-  // The two entry points must build byte-identical memo keys: the sparse
-  // caller supplies exactly the nonzeros the flat form extracts, so the
-  // results — and the cache entries behind them — are shared.
+TEST(Comm, SparseAlltoallvMatchesNestedReference) {
+  // The memoized sparse entry point must return exactly what the
+  // unmemoized nested-matrix simulation gives for the same nonzeros, cold
+  // and warm.
   const auto c = default_comm(6);
   const std::size_t p = 6;
-  std::vector<std::int64_t> flat(p * p, 0);
+  std::vector<std::vector<std::int64_t>> bytes(p, std::vector<std::int64_t>(p));
   std::vector<std::pair<std::int64_t, std::int64_t>> traffic;
   for (std::size_t i = 0; i < p; ++i) {
     for (std::size_t j = 0; j < p; ++j) {
       if (i == j || (i + j) % 3 != 0) continue;
       const auto b = static_cast<std::int64_t>(128 + 8 * (i * p + j));
-      flat[i * p + j] = b;
+      bytes[i][j] = b;
       traffic.emplace_back(static_cast<std::int64_t>(i * p + j), b);
     }
   }
@@ -104,14 +113,18 @@ TEST(Comm, SparseAlltoallvMatchesFlat) {
   for (std::size_t i = 0; i < p; ++i) {
     start[i] = static_cast<support::cycles_t>((i * 53) % 4) * 250;
   }
-  const auto dense = c.alltoallv_flat(start, flat);
-  const auto sparse = c.alltoallv_sparse(start, traffic);
-  EXPECT_EQ(dense.finish, sparse.finish);
-  EXPECT_EQ(dense.messages, sparse.messages);
-  EXPECT_EQ(dense.wire_bytes, sparse.wire_bytes);
-  for (std::size_t i = 0; i < p; ++i) {
-    EXPECT_EQ(dense.nodes[i].finish, sparse.nodes[i].finish);
+  const auto ref = net::simulate_alltoallv(c.config().net, c.config().sw,
+                                           start, bytes);
+  for (int pass = 0; pass < 2; ++pass) {
+    const auto sparse = c.alltoallv_sparse(start, traffic);
+    EXPECT_EQ(ref.finish, sparse.finish) << "pass " << pass;
+    EXPECT_EQ(ref.messages, sparse.messages);
+    EXPECT_EQ(ref.wire_bytes, sparse.wire_bytes);
+    for (std::size_t i = 0; i < p; ++i) {
+      EXPECT_EQ(ref.nodes[i].finish, sparse.nodes[i].finish);
+    }
   }
+  EXPECT_EQ(c.xfer_cache_stats().hits, 1u);
 }
 
 TEST(Comm, SparseAlltoallvRejectsMalformedTraffic) {
@@ -169,7 +182,7 @@ TEST(Comm, AllgatherMemoHitsOnRepeatAndRelativePattern) {
   EXPECT_EQ(s4.installs, 2u);
 }
 
-TEST(Comm, SparseAlltoallvMemoSharesEntriesAcrossEntryPoints) {
+TEST(Comm, SparseAlltoallvMemoHitsOnRepeatAndRelativePattern) {
   const auto c = default_comm(4);
   const std::vector<support::cycles_t> start(4, 0);
   using Traffic = std::vector<std::pair<std::int64_t, std::int64_t>>;
@@ -177,29 +190,27 @@ TEST(Comm, SparseAlltoallvMemoSharesEntriesAcrossEntryPoints) {
 
   // Cold pattern: the borrowed-view probe misses once, then the owning
   // key is built, simulated and installed — one miss per simulation.
-  (void)c.alltoallv_sparse(start, traffic);
+  const auto a = c.alltoallv_sparse(start, traffic);
   const auto s1 = c.xfer_cache_stats();
   EXPECT_EQ(s1.misses, 1u);
   EXPECT_EQ(s1.hits, 0u);
   EXPECT_EQ(s1.installs, 1u);
 
-  // Warm repeat through the sparse entry point: one view-probe hit.
+  // Warm repeat: one view-probe hit.
   (void)c.alltoallv_sparse(start, traffic);
   const auto s2 = c.xfer_cache_stats();
   EXPECT_EQ(s2.hits, 1u);
   EXPECT_EQ(s2.misses, 1u);
 
-  // The flat entry point builds the same canonical key, so it hits the
-  // entry the sparse call installed.
-  std::vector<std::int64_t> flat(16, 0);
-  flat[1] = 64;
-  flat[4] = 64;
-  flat[11] = 32;
-  (void)c.alltoallv_flat(start, flat);
+  // The key is the relative arrival pattern: a uniform shift hits the
+  // same entry and the result is re-based, not re-simulated.
+  const std::vector<support::cycles_t> shifted(4, 1000);
+  const auto b = c.alltoallv_sparse(shifted, traffic);
   const auto s3 = c.xfer_cache_stats();
   EXPECT_EQ(s3.hits, 2u);
   EXPECT_EQ(s3.misses, 1u);
   EXPECT_EQ(s3.installs, 1u);
+  EXPECT_EQ(b.finish, a.finish + 1000);
 
   // A different byte on one pair is a different pattern: new install.
   Traffic other = traffic;
